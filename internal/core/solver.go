@@ -124,11 +124,12 @@ func (sv *Solver) Quote(g *graph.NodeGraph, s, t int, engine Engine) (*Quote, er
 	return q, nil
 }
 
-// errSameEndpoint and errUnknownEngine are the request-path error
-// constructors, outlined so their fmt.Errorf allocations stay off
-// QuoteInto's zero-alloc body. //go:noinline keeps the compiler from
-// folding the allocation back into the caller, where the noalloc gate
-// would (correctly) attribute it to QuoteInto's lines.
+// errSameEndpoint, errUnknownEngine and errForeignTable are the
+// request-path error constructors, outlined so their fmt.Errorf
+// allocations stay off QuoteIntoWith's zero-alloc body. //go:noinline
+// keeps the compiler from folding the allocation back into the
+// caller, where the noalloc gate would (correctly) attribute it to
+// QuoteIntoWith's lines.
 //
 //go:noinline
 func errSameEndpoint(s int) error {
@@ -140,6 +141,36 @@ func errUnknownEngine(engine Engine) error {
 	return fmt.Errorf("core: unknown engine %d", engine)
 }
 
+//go:noinline
+func errForeignTable(t int) error {
+	return fmt.Errorf("core: destination table was not built for target %d on this graph view", t)
+}
+
+// DestTable is the destination-rooted distance table R(v) = dist(v, t)
+// of one graph view: the half of Algorithm 1's input that does not
+// depend on the source. In the paper's model every source sends to
+// the access point v0, so one table serves every quote of an epoch.
+// A table is immutable once built and safe to share across
+// goroutines; it belongs to the exact view (pointer) and target it
+// was built for, and QuoteIntoWith refuses it anywhere else.
+type DestTable struct {
+	g    *graph.NodeGraph
+	t    int
+	dist []float64
+}
+
+// DestTable builds the distance table toward t on g. The Dijkstra
+// runs on a pooled workspace under the solver's frontier policy — the
+// same run, tie for tie, that a table-less quote makes internally —
+// and only its n distances are copied out, so quotes priced with the
+// table are bit-identical to QuoteInto.
+func (sv *Solver) DestTable(g *graph.NodeGraph, t int) *DestTable {
+	w := sv.acquire(g.N())
+	defer sv.release(w)
+	tree := w.wsT.NodeDijkstra(g, t, nil)
+	return &DestTable{g: g, t: t, dist: append([]float64(nil), tree.Dist...)}
+}
+
 // QuoteInto computes the quote for (s, t) into q, reusing q.Path's
 // backing array and q.Payments' buckets. On a warmed workspace and a
 // recycled q this performs zero heap allocations (asserted by
@@ -149,8 +180,26 @@ func errUnknownEngine(engine Engine) error {
 //
 //lint:noalloc the serving hot path: every allocation here is one per request at 10^5 req/s
 func (sv *Solver) QuoteInto(q *Quote, g *graph.NodeGraph, s, t int, engine Engine) error {
+	return sv.QuoteIntoWith(q, g, s, t, nil, engine)
+}
+
+// QuoteIntoWith is QuoteInto with the fast engine's destination table
+// supplied by the caller, so a quote costs one Dijkstra (SPT(s))
+// instead of two. tab must come from DestTable(g, t) on this same
+// view; nil builds the table internally, which is QuoteInto. The
+// naive engine does not read the table.
+//
+//lint:noalloc the serving miss path: one Dijkstra per quote, and no heap traffic beyond it
+func (sv *Solver) QuoteIntoWith(q *Quote, g *graph.NodeGraph, s, t int, tab *DestTable, engine Engine) error {
 	if s == t {
 		return errSameEndpoint(s)
+	}
+	var R []float64
+	if tab != nil {
+		if tab.g != g || tab.t != t {
+			return errForeignTable(t)
+		}
+		R = tab.dist
 	}
 	var began time.Time
 	if obs.On() {
@@ -171,7 +220,7 @@ func (sv *Solver) QuoteInto(q *Quote, g *graph.NodeGraph, s, t int, engine Engin
 	case EngineNaive:
 		w.naiveReplacement(g, s, t, path)
 	case EngineFast:
-		w.fastReplacement(g, s, t, treeS, path)
+		w.fastReplacement(g, s, t, treeS, R, path)
 	default:
 		return errUnknownEngine(engine)
 	}

@@ -70,6 +70,19 @@ func TestSolverErrors(t *testing.T) {
 	if _, err := sv.Quote(split, 0, 3, EngineFast); err != ErrNoPath {
 		t.Errorf("disconnected pair: err = %v, want ErrNoPath", err)
 	}
+	var q Quote
+	if err := sv.QuoteIntoWith(&q, split, 0, 3, sv.DestTable(split, 3), EngineFast); err != ErrNoPath {
+		t.Errorf("disconnected pair with a table: err = %v, want ErrNoPath", err)
+	}
+	// A destination table belongs to one (view, target): anywhere else
+	// it would price relays against the wrong distances.
+	tab := sv.DestTable(g, 0)
+	if err := sv.QuoteIntoWith(&q, g, 2, 1, tab, EngineFast); err == nil {
+		t.Error("table for target 0 accepted for target 1")
+	}
+	if err := sv.QuoteIntoWith(&q, g.WithCost(1, 3), 2, 0, tab, EngineFast); err == nil {
+		t.Error("table accepted on a different cost view")
+	}
 }
 
 // TestQuoteIntoClearsStaleState: recycling one Quote across requests
@@ -110,25 +123,27 @@ func TestSolverSteadyStateAllocs(t *testing.T) {
 	g.CSR()
 	sv := NewSolver()
 	var q Quote
+	tab := sv.DestTable(g, g.N()-1)
 	for _, tc := range []struct {
 		name   string
 		engine Engine
-	}{{"fast", EngineFast}, {"naive", EngineNaive}} {
+		tab    *DestTable
+	}{{"fast", EngineFast, nil}, {"naive", EngineNaive, nil}, {"fast-shared-table", EngineFast, tab}} {
 		t.Run(tc.name, func(t *testing.T) {
 			// Warm the pool and the Quote's buffers, then measure.
 			for i := 0; i < 3; i++ {
-				if err := sv.QuoteInto(&q, g, 0, g.N()-1, tc.engine); err != nil {
+				if err := sv.QuoteIntoWith(&q, g, 0, g.N()-1, tc.tab, tc.engine); err != nil {
 					t.Fatal(err)
 				}
 			}
 			runtime.GC()
 			avg := testing.AllocsPerRun(50, func() {
-				if err := sv.QuoteInto(&q, g, 0, g.N()-1, tc.engine); err != nil {
+				if err := sv.QuoteIntoWith(&q, g, 0, g.N()-1, tc.tab, tc.engine); err != nil {
 					t.Fatal(err)
 				}
 			})
 			if avg != 0 {
-				t.Errorf("QuoteInto allocates %v times per run in the steady state, want 0", avg)
+				t.Errorf("QuoteIntoWith allocates %v times per run in the steady state, want 0", avg)
 			}
 		})
 	}

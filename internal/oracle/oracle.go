@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -296,6 +297,14 @@ func CheckInstance(g *graph.NodeGraph, dest int, opt Options) *Result {
 		binSv = core.NewSolver(core.WithFrontier(sp.FrontierBinary))
 	}
 
+	// The serving path prices every source toward one target against a
+	// destination table built once per epoch, on whichever pooled
+	// workspace won the build race. Build it here on one solver and
+	// quote on another, so the check also covers a table crossing
+	// workspaces.
+	tab := core.NewSolver().DestTable(g, dest)
+	tabSv := core.NewSolver()
+
 	var scaled *graph.NodeGraph
 	var perm []int
 	var permuted *graph.NodeGraph
@@ -318,6 +327,7 @@ func CheckInstance(g *graph.NodeGraph, dest int, opt Options) *Result {
 	}
 
 	for _, s := range pickSources(n, dest, opt.MaxSources) {
+		checkSharedTable(res, g, s, dest, tab, tabSv)
 		naive, err := core.UnicastQuote(g, s, dest, core.EngineNaive)
 		if err != nil {
 			// Unreachable: every other engine must agree there is no
@@ -399,6 +409,27 @@ func CheckInstance(g *graph.NodeGraph, dest int, opt Options) *Result {
 		checkDistributed(res, g, dest, batch, opt)
 	}
 	return res
+}
+
+// checkSharedTable holds a fast-engine quote priced against a shared
+// destination table to BITWISE agreement with the table-less
+// QuoteInto. Both run Algorithm 1 on the same SPT(s); the table is
+// the same deterministic Dijkstra output the table-less run computes
+// for itself, so they must agree on every input — zero-cost relays
+// and tied paths included, where the fast engine may legitimately
+// differ from the naive one but never from itself.
+func checkSharedTable(res *Result, g *graph.NodeGraph, s, dest int, tab *core.DestTable, sv *core.Solver) {
+	ref, rerr := core.UnicastQuote(g, s, dest, core.EngineFast)
+	var got core.Quote
+	gerr := sv.QuoteIntoWith(&got, g, s, dest, tab, core.EngineFast)
+	if rerr != nil || gerr != nil {
+		res.check("engine-shared-table")
+		if !errors.Is(gerr, rerr) {
+			res.violate("engine-shared-table", s, dest, -1, "shared-table error %v, QuoteInto error %v", gerr, rerr)
+		}
+		return
+	}
+	exactQuote(res, "engine-shared-table", ref, &got)
 }
 
 // pickSources returns the sources to check: all nodes but dest, or a

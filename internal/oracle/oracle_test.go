@@ -2,10 +2,12 @@ package oracle
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 
 	"truthroute/internal/core"
 	"truthroute/internal/graph"
+	"truthroute/internal/sp"
 )
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
@@ -125,7 +127,7 @@ func TestCheckInstanceFixtures(t *testing.T) {
 			t.Errorf("%s: %s", name, v)
 		}
 		for _, want := range []string{"engine-batch", "engine-set", "engine-link",
-			"engine-delta", "engine-frontier",
+			"engine-delta", "engine-frontier", "engine-shared-table",
 			"brute-reference", "neighborhood-brute", "individual-rationality",
 			"truthfulness", "meta-scaling", "meta-relabel", "meta-monotone",
 			"well-formed", "distributed"} {
@@ -325,7 +327,7 @@ func TestSoakCampaignClean(t *testing.T) {
 	if len(rep.Counterexamples) != 0 {
 		t.Errorf("clean run produced %d counterexamples", len(rep.Counterexamples))
 	}
-	for _, want := range []string{"engine-fast", "engine-batch", "engine-link",
+	for _, want := range []string{"engine-fast", "engine-batch", "engine-link", "engine-shared-table",
 		"distributed", "distributed-faulted", "truthfulness", "brute-reference"} {
 		if rep.Result.Checks[want] == 0 {
 			t.Errorf("soak never ran check %q", want)
@@ -351,4 +353,92 @@ func TestSoakDeterministic(t *testing.T) {
 			t.Errorf("skip %q: %d vs %d", k, av, b.Result.Skips[k])
 		}
 	}
+}
+
+// TestSharedTableBitwiseUnderTies runs the engine-shared-table check
+// over the two cost families that make ties dense: quarter-unit costs
+// on grids (many equal-cost lattice paths) and {0..3} integer costs
+// with zeros on random graphs (ties plus zero-cost relays, where the
+// fast engine's genericity assumption fails but its agreement with
+// itself must not). Each instance shares one destination table
+// across every source, as an epoch does in the daemon. The test also
+// counts sources whose least cost path passes a tied predecessor, so
+// a family that stopped producing ties would fail rather than pass
+// vacuously.
+func TestSharedTableBitwiseUnderTies(t *testing.T) {
+	families := []struct {
+		name string
+		gen  func(rng *rand.Rand) *graph.NodeGraph
+	}{
+		{"quarter-grid", func(rng *rand.Rand) *graph.NodeGraph {
+			g := graph.Grid(2+rng.IntN(7), 2+rng.IntN(7))
+			for v := 0; v < g.N(); v++ {
+				g.SetCost(v, 0.25*float64(1+rng.IntN(8)))
+			}
+			return g
+		}},
+		{"costs-0..3", func(rng *rand.Rand) *graph.NodeGraph {
+			n := 6 + rng.IntN(40)
+			g := graph.RandomBiconnected(n, 0.1+0.2*rng.Float64(), rng)
+			for v := 0; v < n; v++ {
+				g.SetCost(v, float64(rng.IntN(4)))
+			}
+			return g
+		}},
+	}
+	for fi, fam := range families {
+		t.Run(fam.name, func(t *testing.T) {
+			res := newResult()
+			tied := 0
+			for i := 0; i < 60; i++ {
+				rng := rand.New(rand.NewPCG(0x7ab1e, uint64(fi)<<32|uint64(i)))
+				g := fam.gen(rng)
+				dest := rng.IntN(g.N())
+				tab := core.NewSolver().DestTable(g, dest)
+				sv := core.NewSolver()
+				for s := 0; s < g.N(); s++ {
+					if s == dest {
+						continue
+					}
+					checkSharedTable(res, g, s, dest, tab, sv)
+					if pathHasTie(g, s, dest) {
+						tied++
+					}
+				}
+			}
+			for _, v := range res.Violations {
+				t.Errorf("%s", v)
+			}
+			if res.Checks["engine-shared-table"] == 0 || tied == 0 {
+				t.Errorf("%d checks over %d tied paths: the family no longer exercises ties",
+					res.Checks["engine-shared-table"], tied)
+			}
+		})
+	}
+}
+
+// pathHasTie reports whether some node on the s-t least cost path
+// has two predecessors in SPT(s) at exactly its distance — the place
+// where Dijkstra's tie-break, and nothing else, picks the path.
+func pathHasTie(g *graph.NodeGraph, s, t int) bool {
+	tree := sp.NodeDijkstra(g, s, nil)
+	if !tree.Reachable(t) {
+		return false
+	}
+	for _, v := range tree.PathTo(t)[1:] {
+		preds := 0
+		for _, u := range g.Neighbors(v) {
+			through := tree.Dist[u] + g.Cost(u)
+			if u == s {
+				through = 0
+			}
+			if math.Float64bits(through) == math.Float64bits(tree.Dist[v]) {
+				preds++
+			}
+		}
+		if preds > 1 {
+			return true
+		}
+	}
+	return false
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"truthroute/internal/graph"
+	"truthroute/internal/wireless"
 )
 
 func benchServer(b *testing.B, n int) *Server {
@@ -53,9 +54,9 @@ func BenchmarkServeQuoteCached(b *testing.B) {
 }
 
 // BenchmarkServeQuoteCold measures the uncached path: every request
-// lands on a fresh epoch, so the shard rebuilds the source's LCP tree
-// and quote memo — the cost an update storm imposes on the next
-// reader per source.
+// lands on a fresh epoch, so the shard rebuilds the target's
+// destination table, the source's tree and the quote memo — the cost
+// an update storm imposes on the first reader of each epoch.
 func BenchmarkServeQuoteCold(b *testing.B) {
 	s := benchServer(b, 64)
 	b.ReportAllocs()
@@ -200,4 +201,55 @@ func BenchmarkServeBinaryQuoteLoad(b *testing.B) {
 	b.ReportMetric(float64(res.Percentile(95).Nanoseconds()), "p95-ns")
 	b.ReportMetric(float64(res.Percentile(99).Nanoseconds()), "p99-ns")
 	b.ReportMetric(res.QPS(), "qps")
+}
+
+// BenchmarkServeQuoteMissSharedTarget measures the memo-miss path
+// under the paper's traffic shape: sources rotate through a seeded
+// n=1000 unit-disk graph, all quoting toward the access point v0 =
+// node 0 at the region centre, on quarter-unit costs (the bucket
+// frontier's regime). An epoch flip every 32 misses, outside the
+// timer, empties the memo, so every timed request is a binary-plane
+// miss: one table per epoch amortized over 32 sources, plus each
+// source's own tree, Algorithm 1 and the marshalling.
+func BenchmarkServeQuoteMissSharedTarget(b *testing.B) {
+	const n, perEpoch = 1000, 32
+	var g *graph.NodeGraph
+	for sub := uint64(0); g == nil; sub++ {
+		rng := rand.New(rand.NewPCG(0x5a7e, sub))
+		dep := wireless.PlaceUniform(n, 2000, 300, rng)
+		dep.Pos[0] = wireless.Point{X: 1000, Y: 1000}
+		cand := dep.NodeCostUDG(1, 10, rng)
+		if len(cand.Components()) != 1 {
+			continue // redraw until one shard serves every pair
+		}
+		for v := 0; v < n; v++ {
+			cand.SetCost(v, 1+0.25*float64(rng.IntN(36)))
+		}
+		g = cand
+	}
+	s := New(g, Config{MaxInFlight: 4096})
+	b.Cleanup(s.Drain)
+	out := make(chan binFrame, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%perEpoch == 0 {
+			b.StopTimer()
+			blob, err := json.Marshal(UpdateRequest{Updates: []CostUpdate{
+				{Node: 1 + (i/perEpoch)%(n-1), Cost: 1 + 0.25*float64(i%36)},
+			}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if rec := doBenchReq(s, "POST", "/update", blob); rec.Code != http.StatusOK {
+				b.Fatalf("update status %d", rec.Code)
+			}
+			b.StartTimer()
+		}
+		req := BinaryRequest{Src: uint32(1 + i%(n-1)), Dst: 0}
+		s.handleBinaryQuote(out, uint32(i), &req)
+		if f := <-out; f.kind != KindQuoteResp {
+			b.Fatalf("kind %#02x", f.kind)
+		}
+	}
 }

@@ -19,7 +19,9 @@ import (
 // response claims. Mid-run batched cost updates flip epochs; a
 // response pairing epoch e with a quote priced under any other
 // epoch's costs fails the byte comparison, so zero mismatches also
-// means zero mixed-epoch responses.
+// means zero mixed-epoch responses. Half the requests go to one fixed
+// target per topology, so quotes priced against a destination table
+// another source's miss built are compared too.
 func TestServeDifferentialVsSolver(t *testing.T) {
 	const topologies = 200
 	sv := core.NewSolver()
@@ -44,6 +46,7 @@ func TestServeDifferentialVsSolver(t *testing.T) {
 		costsAt := map[uint64][]float64{1: g.Costs()}
 		cur := uint64(1)
 
+		hub := rng.IntN(n)
 		engine := "fast"
 		if topo%3 == 0 {
 			engine = "naive"
@@ -104,6 +107,13 @@ func TestServeDifferentialVsSolver(t *testing.T) {
 			dst := rng.IntN(n - 1)
 			if dst >= src {
 				dst++
+			}
+			if trial%2 == 0 && src != hub {
+				// Half of each epoch's requests aim at one fixed
+				// target, so fast-engine misses share the epoch's
+				// destination table across sources (the v0 traffic
+				// shape) while the rest build tables cold.
+				dst = hub
 			}
 			rec := doReq(t, s, "GET", fmt.Sprintf("/quote?src=%d&dst=%d&engine=%s", src, dst, engine), "")
 			switch rec.Code {

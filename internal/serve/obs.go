@@ -19,11 +19,13 @@ var (
 	obsBatches        = obs.NewCounter("serve.batches_applied")
 	obsUpdatesApplied = obs.NewCounter("serve.cost_updates_applied")
 	// obsCacheHits/Misses split quote lookups by whether the epoch's
-	// memo already held the marshalled response; obsTreesBuilt counts
-	// per-source LCP tree constructions (at most sources×epochs).
+	// memo already held the marshalled response. obsTablesBuilt counts
+	// destination tables built, one per (target, epoch); the name
+	// predates the tables and is kept because dashboards and the
+	// repository benchmark read it.
 	obsCacheHits   = obs.NewCounter("serve.quote_cache_hits")
 	obsCacheMisses = obs.NewCounter("serve.quote_cache_misses")
-	obsTreesBuilt  = obs.NewCounter("serve.lcp_trees_built")
+	obsTablesBuilt = obs.NewCounter("serve.lcp_trees_built")
 	// obsDrains counts completed graceful drains.
 	obsDrains = obs.NewCounter("serve.drains")
 

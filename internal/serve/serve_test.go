@@ -159,9 +159,58 @@ func TestQuoteCacheServesIdenticalBytes(t *testing.T) {
 		t.Errorf("cache hits/misses = %d/%d, want 1/1",
 			snap.Counters["serve.quote_cache_hits"], snap.Counters["serve.quote_cache_misses"])
 	}
-	// One LCP tree was built and reused.
+	// The miss built the epoch's destination table toward 3; the
+	// repeat was a memo hit and built nothing.
 	if got := snap.Counters["serve.lcp_trees_built"]; got != 1 {
 		t.Errorf("lcp_trees_built = %d, want 1", got)
+	}
+}
+
+// TestMissPathOneDijkstraPerQuote pins the miss path's work: within
+// one epoch, N misses from distinct sources toward one target build
+// that target's distance table once and then run one Dijkstra each
+// (the source's tree), N+1 runs in all. An epoch flip empties the
+// snapshot's caches, so the next miss builds one more table.
+func TestMissPathOneDijkstraPerQuote(t *testing.T) {
+	g := graph.Grid(6, 6)
+	g.RandomizeCosts(0.5, 5, rand.New(rand.NewPCG(13, 0)))
+	s := New(g, Config{})
+	defer s.Drain()
+	obs.Reset()
+	obs.Enable()
+	t.Cleanup(func() {
+		obs.Disable()
+		obs.Reset()
+	})
+	const target, misses = 0, 20
+	for src := 1; src <= misses; src++ {
+		if rec := doReq(t, s, "GET", fmt.Sprintf("/quote?src=%d&dst=%d", src, target), ""); rec.Code != http.StatusOK {
+			t.Fatalf("quote %d->%d: status %d", src, target, rec.Code)
+		}
+	}
+	snap := obs.Default.Snapshot()
+	if got := snap.Counters["serve.quote_cache_misses"]; got != misses {
+		t.Fatalf("cache misses = %d, want %d", got, misses)
+	}
+	if got := snap.Counters["serve.lcp_trees_built"]; got != 1 {
+		t.Errorf("tables built = %d, want 1", got)
+	}
+	if got := snap.Counters["sp.dijkstra_runs"]; got != misses+1 {
+		t.Errorf("Dijkstra runs = %d, want %d (one table + one tree per miss)", got, misses+1)
+	}
+
+	if rec := doReq(t, s, "POST", "/update", `{"updates":[{"node":7,"cost":0.75}]}`); rec.Code != http.StatusOK {
+		t.Fatalf("update: status %d body %s", rec.Code, rec.Body.String())
+	}
+	if rec := doReq(t, s, "GET", fmt.Sprintf("/quote?src=1&dst=%d", target), ""); rec.Code != http.StatusOK {
+		t.Fatalf("post-flip quote: status %d", rec.Code)
+	}
+	snap = obs.Default.Snapshot()
+	if got := snap.Counters["serve.lcp_trees_built"]; got != 2 {
+		t.Errorf("tables built after the flip = %d, want 2", got)
+	}
+	if got := snap.Counters["sp.dijkstra_runs"]; got != misses+3 {
+		t.Errorf("Dijkstra runs after the flip = %d, want %d", got, misses+3)
 	}
 }
 
@@ -354,10 +403,10 @@ func TestDebugSurfaceMounted(t *testing.T) {
 }
 
 // TestShardComputeSteadyStateAllocs: the shard's mechanism step (the
-// pooled-solver quote on the snapshot graph, before marshalling)
-// inherits the core 0 allocs/op steady state. The HTTP/JSON layer
-// above it allocates per response by design; the compute hot path
-// must not.
+// pooled-solver quote on the snapshot graph against the epoch's
+// shared destination table, before marshalling) inherits the core
+// 0 allocs/op steady state. The HTTP/JSON layer above it allocates
+// per response by design; the compute hot path must not.
 func TestShardComputeSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -368,18 +417,66 @@ func TestShardComputeSteadyStateAllocs(t *testing.T) {
 	defer s.Drain()
 	sh := s.shards[0]
 	snap := sh.snap.Load()
+	lt := snap.g.N() - 1
+	tab := sh.destTable(snap, lt)
 	var q core.Quote
 	for i := 0; i < 3; i++ {
-		if err := sh.solver.QuoteInto(&q, snap.g, 0, snap.g.N()-1, core.EngineFast); err != nil {
+		if err := sh.solver.QuoteIntoWith(&q, snap.g, 0, lt, tab, core.EngineFast); err != nil {
 			t.Fatal(err)
 		}
 	}
 	avg := testing.AllocsPerRun(50, func() {
-		if err := sh.solver.QuoteInto(&q, snap.g, 0, snap.g.N()-1, core.EngineFast); err != nil {
+		if err := sh.solver.QuoteIntoWith(&q, snap.g, 0, lt, tab, core.EngineFast); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if avg != 0 {
 		t.Errorf("shard compute path allocates %v times per run in the steady state, want 0", avg)
 	}
+}
+
+// TestShardQuoteMissAllocsFlatInN drives the whole served miss —
+// memo probe, table lookup, the source's tree, Algorithm 1, global
+// remap, JSON marshal, memo store — on fresh snapshots whose target
+// table is already warm, and holds its allocation count independent
+// of n. The source sits at grid offset (2,2) from the target corner
+// on uniform costs, so the quote has the same three relays, and the
+// same marshalling work, at every size; any per-miss allocation that
+// scales with the graph (a throwaway tree or workspace, whose
+// append-grown arrays add allocations as n grows) breaks the tie.
+func TestShardQuoteMissAllocsFlatInN(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	const runs = 20
+	missAllocs := func(side int) float64 {
+		g := graph.Grid(side, side)
+		for v := 0; v < g.N(); v++ {
+			g.SetCost(v, 1)
+		}
+		s := New(g, Config{})
+		defer s.Drain()
+		sh := s.shards[0]
+		cur := sh.snap.Load()
+		ls, lt := 2*side+2, 0
+		snaps := make([]*snapshot, runs+1) // AllocsPerRun adds one warm-up call
+		for i := range snaps {
+			snaps[i] = newSnapshot(cur.epoch, cur.g)
+			sh.destTable(snaps[i], lt)
+		}
+		next := 0
+		return testing.AllocsPerRun(runs, func() {
+			snap := snaps[next]
+			next++
+			body, err := sh.quote(snap, ls, lt, core.EngineFast)
+			if err != nil || len(body) == 0 {
+				t.Fatalf("miss on %dx%d grid: %v", side, side, err)
+			}
+		})
+	}
+	small, large := missAllocs(8), missAllocs(32)
+	if large > small {
+		t.Errorf("served miss allocates %v times on a 32x32 grid but %v on 8x8: per-miss work grows with n", large, small)
+	}
+	t.Logf("served miss: %v allocs (8x8), %v allocs (32x32)", small, large)
 }

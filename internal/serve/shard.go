@@ -7,7 +7,6 @@ import (
 
 	"truthroute/internal/core"
 	"truthroute/internal/graph"
-	"truthroute/internal/sp"
 )
 
 // CostUpdate is one declared-cost change inside an update batch.
@@ -42,30 +41,39 @@ type shard struct {
 }
 
 // snapshot is one immutable epoch: a cost view sharing the shard's
-// adjacency and built CSR, plus per-source caches that live exactly
-// as long as the epoch is current. Cost drift publishes a new
-// snapshot, so every cache is invalidated wholesale by the epoch flip
-// itself — there is no per-entry invalidation protocol to get wrong.
+// adjacency and built CSR, plus caches that live exactly as long as
+// the epoch is current. Cost drift publishes a new snapshot, so every
+// cache is invalidated wholesale by the epoch flip itself — there is
+// no per-entry invalidation protocol to get wrong.
 type snapshot struct {
 	epoch uint64
 	g     *graph.NodeGraph
 	src   []sourceCache
+	// dest[t] is the epoch's distance table toward local target t,
+	// built on the first fast-engine miss for t. It is the only
+	// source-independent half of Algorithm 1's input, so in the
+	// paper's every-source-to-v0 traffic one table serves every
+	// source's miss in the epoch.
+	dest []atomic.Pointer[core.DestTable]
 }
 
-// sourceCache holds one source's lazily built state for the lifetime
-// of a snapshot: its least-cost-path tree, the fully marshalled
-// quotes already served from it, and the pre-serialized binary
-// KindQuoteResp payloads built from those same quote bytes. Both
-// memos die with the snapshot, so the binary plane inherits the
-// epoch-flip invalidation story wholesale.
+// sourceCache holds one source's memos for the lifetime of a
+// snapshot: the fully marshalled quotes already served, and the
+// pre-serialized binary KindQuoteResp payloads built from those same
+// quote bytes. Both die with the snapshot, so the binary plane
+// inherits the epoch-flip invalidation story wholesale.
 type sourceCache struct {
-	tree   atomic.Pointer[sp.Tree]
 	quotes sync.Map // int64 key engine<<32|target -> []byte quote JSON
 	frames sync.Map // int64 key engine<<32|target -> []byte binary quote payload
 }
 
 func newSnapshot(epoch uint64, g *graph.NodeGraph) *snapshot {
-	return &snapshot{epoch: epoch, g: g, src: make([]sourceCache, g.N())}
+	return &snapshot{
+		epoch: epoch,
+		g:     g,
+		src:   make([]sourceCache, g.N()),
+		dest:  make([]atomic.Pointer[core.DestTable], g.N()),
+	}
 }
 
 // newShard carves component comp out of g, warms the shard's solver
@@ -130,23 +138,24 @@ func (sh *shard) stop() {
 	<-sh.done
 }
 
-// tree returns the snapshot's cached least-cost-path tree rooted at
-// local source ls, building it on first use. Concurrent builders race
-// benignly: both compute the same deterministic tree and the losing
-// CompareAndSwap discards its copy, mirroring graph.CSR's build race.
+// destTable returns the snapshot's distance table toward local target
+// lt, building it on first use through the shard solver's pooled
+// workspace. Concurrent builders race benignly: both compute the same
+// deterministic table and the losing CompareAndSwap discards its
+// copy, mirroring graph.CSR's build race.
 //
-//lint:writer racing builders compute the same deterministic tree; the CAS loser discards its copy unpublished
-func (sh *shard) tree(snap *snapshot, ls int) *sp.Tree {
-	sc := &snap.src[ls]
-	if t := sc.tree.Load(); t != nil {
-		return t
+//lint:writer racing builders compute the same deterministic table; the CAS loser discards its copy unpublished
+func (sh *shard) destTable(snap *snapshot, lt int) *core.DestTable {
+	p := &snap.dest[lt]
+	if tab := p.Load(); tab != nil {
+		return tab
 	}
-	obsTreesBuilt.Inc()
-	t := sp.NodeDijkstra(snap.g, ls, nil)
-	if sc.tree.CompareAndSwap(nil, t) {
-		return t
+	obsTablesBuilt.Inc()
+	tab := sh.solver.DestTable(snap.g, lt)
+	if p.CompareAndSwap(nil, tab) {
+		return tab
 	}
-	return sc.tree.Load()
+	return p.Load()
 }
 
 // quote serves the marshalled global-id quote for (ls, lt) on snap,
@@ -236,18 +245,19 @@ func (sh *shard) framePayloadMiss(snap *snapshot, sc *sourceCache, ls, lt int, e
 }
 
 // computeQuote runs the mechanism on the snapshot and marshals the
-// result with local ids remapped to global ones. The remapping is
-// monotone (globals is increasing), so the served path and payments
-// are bit-identical to a direct core.Solver run on the full topology
-// — the property the differential harness asserts.
+// result with local ids remapped to global ones. The fast engine
+// prices against the epoch's shared table toward lt, so a miss runs
+// one Dijkstra (the source's tree) once that table exists. The
+// remapping is monotone (globals is increasing), so the served path
+// and payments are bit-identical to a direct core.Solver run on the
+// full topology — the property the differential harness asserts.
 func (sh *shard) computeQuote(snap *snapshot, ls, lt int, engine core.Engine) ([]byte, error) {
-	if !sh.tree(snap, ls).Reachable(lt) {
-		// Unreachable inside a connected component cannot happen with
-		// finite costs; kept as defence in depth.
-		return nil, core.ErrNoPath
+	var tab *core.DestTable
+	if engine == core.EngineFast {
+		tab = sh.destTable(snap, lt)
 	}
 	var local core.Quote
-	if err := sh.solver.QuoteInto(&local, snap.g, ls, lt, engine); err != nil {
+	if err := sh.solver.QuoteIntoWith(&local, snap.g, ls, lt, tab, engine); err != nil {
 		return nil, err
 	}
 	global := core.Quote{

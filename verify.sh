@@ -5,7 +5,7 @@
 #
 #   ./verify.sh build          go build + go vet
 #   ./verify.sh lint           gofmt, dependency-free go.mod, truthlint (+ bite check)
-#   ./verify.sh test           coverage-gated tests + allocation-regression gates
+#   ./verify.sh test           coverage-gated tests + allocation-regression gates + perfbench tests
 #   ./verify.sh race           the race detector over every package
 #   ./verify.sh serve          daemon end-to-end: differential + race tests, live smoke load
 #   ./verify.sh serve-binary   binary plane end-to-end: byte-identity tests, live pipelined smoke load
@@ -116,6 +116,14 @@ stage_test() {
     ( set -x
       go test ./internal/core/ -run 'TestSolverSteadyStateAllocs|TestSolverConcurrent' -count=1
       go test ./internal/obs/ -run Alloc -count=1 )
+
+    # The repository benchmark (perfbench/) is a nested module, so the
+    # root ./... patterns above never reach it: vet and test its own
+    # statistics and correctness checks separately.
+    ( set -x
+      cd perfbench
+      go vet .
+      go test -count=1 . )
 }
 
 stage_race() (
