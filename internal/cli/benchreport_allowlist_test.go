@@ -27,10 +27,9 @@ var benchExcluded = map[string]string{
 	"BenchmarkFigureLife":    "end-to-end figure reproduction, not a perf contract",
 	"BenchmarkFigure2Quote":  "paper fixture smoke benchmark, duplicated by BenchmarkPayment*",
 	"BenchmarkFigure4Resale": "paper fixture smoke benchmark, no perf contract",
-	// Heap micro-benchmarks are subsumed by BenchmarkDijkstra*, which
-	// exercises both heaps on the real workload.
-	"BenchmarkBinaryHeapsort4096":  "raw heap op, covered via BenchmarkDijkstra*",
-	"BenchmarkPairingHeapsort4096": "raw heap op, covered via BenchmarkDijkstra*",
+	// The heap micro-benchmark is subsumed by BenchmarkDijkstra*,
+	// which exercises the heap on the real workload.
+	"BenchmarkBinaryHeapsort4096": "raw heap op, covered via BenchmarkDijkstra*",
 	// One-off studies with no gated number.
 	"BenchmarkNetsimCompensated": "packet-level study, dominated by the netsim loop",
 	"BenchmarkNeighborhoodQuote": "p̃ study benchmark, O(n) Dijkstras per op by design",

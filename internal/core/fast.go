@@ -48,8 +48,8 @@ import (
 // R is the destination-rooted distance table (R[v] = dist(v, t)). It
 // depends only on t and the graph view, never on s, so callers that
 // price many sources toward one target compute it once and share it —
-// the "dijkstra once, test many roots" amortization (a DestTable in
-// the serving path, the delta stepper's table in AllQuotes). A nil R
+// the "dijkstra once, test many roots" amortization (a DestTable, in
+// the serving path and in AllQuotes). A nil R
 // is computed here on the workspace's scratch tree, but only when the
 // path has a relay to price.
 func (w *solverSpace) fastReplacement(g *graph.NodeGraph, s, t int, treeS *sp.Tree, R []float64, path []int) {

@@ -230,11 +230,12 @@ func compareQuote(r *Result, check string, ref, got *core.Quote, costShift, tol 
 
 // exactQuote holds an engine to BITWISE agreement with the naive
 // reference: identical path, identical cost bits, identical payment
-// bits. The bucket-frontier and delta-stepping engines earn this
-// stricter bar — their relaxation schedules provably reproduce the
-// sequential Dijkstra tree entry for entry (see the determinism
-// arguments in sp/deltastep.go and pq/bucket.go), so any drift, even
-// one ulp or a differently broken tie, is a bug, not a tie.
+// bits. The bucket frontier earns this stricter bar — its relaxation
+// schedule provably reproduces the binary-heap Dijkstra tree entry for
+// entry (see the determinism argument in pq/bucket.go) — and so do
+// the shared-table paths, which run the very same Dijkstras as the
+// per-source quote. Any drift, even one ulp or a differently broken
+// tie, is a bug, not a tie.
 func exactQuote(r *Result, check string, ref, got *core.Quote) {
 	r.check(check)
 	if !samePath(ref.Path, got.Path) {
@@ -280,14 +281,11 @@ func CheckInstance(g *graph.NodeGraph, dest int, opt Options) *Result {
 	lg := LinkEmbed(g)
 	allLink := core.AllLinkQuotes(lg, dest)
 
-	// The shared-frontier all-sources engine, with the threshold forced
-	// to 2 so it engages on every instance. When the cost regime rules
-	// delta-stepping out (zero relay costs), AllQuotes falls back to
-	// the fan-out path internally — the output contract is bitwise
-	// identity either way. A fresh Solver per instance keeps concurrent
+	// The all-sources path prices every source against one shared
+	// destination table; it must reproduce each per-source fast quote
+	// bit for bit. A fresh Solver per instance keeps concurrent
 	// CheckInstance calls (the soak) independent.
-	deltaAll, _ := core.NewSolver(core.WithAllSourcesDelta(2, 0)).
-		AllQuotes(g, dest, core.EngineNaive)
+	allFast, _ := core.NewSolver().AllQuotes(g, dest, core.EngineFast)
 	// When the cost vector admits a fixed-point quantum, the default
 	// solver's auto policy runs Dijkstra on the monotone bucket queue;
 	// a solver pinned to the binary heap differentially verifies that
@@ -328,6 +326,7 @@ func CheckInstance(g *graph.NodeGraph, dest int, opt Options) *Result {
 
 	for _, s := range pickSources(n, dest, opt.MaxSources) {
 		checkSharedTable(res, g, s, dest, tab, tabSv)
+		checkAllSources(res, g, s, dest, allFast[s])
 		naive, err := core.UnicastQuote(g, s, dest, core.EngineNaive)
 		if err != nil {
 			// Unreachable: every other engine must agree there is no
@@ -339,10 +338,6 @@ func CheckInstance(g *graph.NodeGraph, dest int, opt Options) *Result {
 			res.check("engine-link")
 			if allLink[s] != nil {
 				res.violate("engine-link", s, dest, -1, "link engine found a path where naive found none")
-			}
-			res.check("engine-delta")
-			if deltaAll[s] != nil {
-				res.violate("engine-delta", s, dest, -1, "delta engine found a path where naive found none")
 			}
 			res.skipped("unreachable")
 			continue
@@ -377,11 +372,6 @@ func CheckInstance(g *graph.NodeGraph, dest int, opt Options) *Result {
 			res.violate("engine-link", s, dest, -1, "batch link engine found no path")
 		} else {
 			compareQuote(res, "engine-link-batch", naive, allLink[s], g.Cost(s), opt.Tol)
-		}
-		if deltaAll[s] == nil {
-			res.violate("engine-delta", s, dest, -1, "delta engine found no path where naive found one")
-		} else {
-			exactQuote(res, "engine-delta", naive, deltaAll[s])
 		}
 		if binSv != nil {
 			if bq, berr := binSv.Quote(g, s, dest, core.EngineNaive); berr != nil {
@@ -430,6 +420,26 @@ func checkSharedTable(res *Result, g *graph.NodeGraph, s, dest int, tab *core.De
 		return
 	}
 	exactQuote(res, "engine-shared-table", ref, &got)
+}
+
+// checkAllSources holds source s's slot of the all-sources fast pass
+// to BITWISE agreement with the per-source fast quote: a nil slot
+// exactly where the per-source quote errors, identical path, cost bits
+// and payment bits everywhere else.
+func checkAllSources(res *Result, g *graph.NodeGraph, s, dest int, got *core.Quote) {
+	ref, err := core.UnicastQuote(g, s, dest, core.EngineFast)
+	switch {
+	case err != nil:
+		res.check("engine-all-sources")
+		if got != nil {
+			res.violate("engine-all-sources", s, dest, -1, "all-sources pass found a path where the per-source quote errored: %v", err)
+		}
+	case got == nil:
+		res.check("engine-all-sources")
+		res.violate("engine-all-sources", s, dest, -1, "all-sources pass found no path where the per-source quote found one")
+	default:
+		exactQuote(res, "engine-all-sources", ref, got)
+	}
 }
 
 // pickSources returns the sources to check: all nodes but dest, or a

@@ -127,7 +127,7 @@ func TestCheckInstanceFixtures(t *testing.T) {
 			t.Errorf("%s: %s", name, v)
 		}
 		for _, want := range []string{"engine-batch", "engine-set", "engine-link",
-			"engine-delta", "engine-frontier", "engine-shared-table",
+			"engine-all-sources", "engine-frontier", "engine-shared-table",
 			"brute-reference", "neighborhood-brute", "individual-rationality",
 			"truthfulness", "meta-scaling", "meta-relabel", "meta-monotone",
 			"well-formed", "distributed"} {
@@ -441,4 +441,65 @@ func pathHasTie(g *graph.NodeGraph, s, t int) bool {
 		}
 	}
 	return false
+}
+
+// TestBitwiseChecksBite: the bitwise checks must report a quote that
+// differs from its reference in any one field — path, one ulp of
+// cost, a missing payment entry, one ulp of a payment — and the
+// all-sources check must report a slot that disagrees with the
+// per-source quote about whether a path exists. A check that cannot
+// fail would hold nothing.
+func TestBitwiseChecksBite(t *testing.T) {
+	g := graph.Figure2()
+	ref, err := core.UnicastQuote(g, 1, 0, core.EngineFast)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ref.Path) < 3 {
+		t.Fatalf("figure 2 quote %v has no relay to corrupt", ref.Path)
+	}
+	clone := func() *core.Quote {
+		q := *ref
+		q.Path = append([]int(nil), ref.Path...)
+		q.Payments = make(map[int]float64, len(ref.Payments))
+		for k, p := range ref.Payments {
+			q.Payments[k] = p
+		}
+		return &q
+	}
+	relay := ref.Path[1]
+	mutants := map[string]func(q *core.Quote){
+		"path": func(q *core.Quote) { q.Path[1] = q.Path[0] },
+		"cost": func(q *core.Quote) { q.Cost = math.Nextafter(q.Cost, math.Inf(1)) },
+		"payment count": func(q *core.Quote) {
+			delete(q.Payments, relay)
+		},
+		"payment bits": func(q *core.Quote) {
+			q.Payments[relay] = math.Nextafter(q.Payments[relay], math.Inf(1))
+		},
+	}
+	for name, mutate := range mutants {
+		q := clone()
+		mutate(q)
+		res := newResult()
+		exactQuote(res, "engine-under-test", ref, q)
+		if len(res.Violations) != 1 {
+			t.Errorf("%s mutant: %d violations, want 1", name, len(res.Violations))
+		}
+	}
+	res := newResult()
+	exactQuote(res, "engine-under-test", ref, clone())
+	if len(res.Violations) != 0 {
+		t.Errorf("unmutated clone flagged: %v", res.Violations)
+	}
+
+	res = newResult()
+	checkAllSources(res, g, 1, 0, nil)
+	disconnected := graph.NewNodeGraph(3)
+	disconnected.AddEdge(0, 1)
+	checkAllSources(res, disconnected, 2, 0, ref)
+	if len(res.Violations) != 2 || res.Checks["engine-all-sources"] != 2 {
+		t.Errorf("missing and phantom all-sources slots: %d violations over %d checks, want 2 over 2",
+			len(res.Violations), res.Checks["engine-all-sources"])
+	}
 }

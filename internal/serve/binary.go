@@ -201,25 +201,18 @@ func (s *Server) readFrames(conn net.Conn, out chan<- binFrame) {
 // snapshot memo, queueing exactly one response frame. It reports
 // closing=true when the server is draining: the error frame is
 // queued first, so the client sees the reason before the hangup.
-// Admission mirrors the HTTP admit wrapper byte for byte: semaphore
-// refusal is backpressure (ErrCodeOverloaded, connection stays up),
-// and the wg.Add-then-recheck order keeps Drain's wait sound.
+// Admission is the HTTP gate's (enter): semaphore refusal is
+// backpressure (ErrCodeOverloaded, connection stays up).
 func (s *Server) handleBinaryQuote(out chan<- binFrame, reqid uint32, req *BinaryRequest) (closing bool) {
-	select {
-	case s.inflight <- struct{}{}:
-	default:
-		obsRejected.Inc()
+	switch s.enter() {
+	case refusedBusy:
 		out <- errorFrame(reqid, ErrCodeOverloaded, "overloaded: in-flight request limit reached")
 		return false
-	}
-	obsInflightPeak.SetMax(int64(len(s.inflight)))
-	defer func() { <-s.inflight }()
-	s.wg.Add(1)
-	defer s.wg.Done()
-	if s.draining.Load() {
+	case refusedDraining:
 		out <- errorFrame(reqid, ErrCodeDraining, "draining")
 		return true
 	}
+	defer s.exit()
 	//lint:allow determinism wall clock feeds only the obs latency histogram, never quote output
 	began := time.Now()
 

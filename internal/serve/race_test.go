@@ -7,7 +7,9 @@ import (
 	"net/http"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"truthroute/internal/core"
 	"truthroute/internal/graph"
@@ -228,5 +230,72 @@ func TestServeCrashMidBatchRestart(t *testing.T) {
 		if got := string(decodeQuote(t, rec).Quote); got != served[p] {
 			t.Errorf("post-restart quote %d->%d differs:\n  restarted %s\n  pre-crash %s", p.src, p.dst, got, served[p])
 		}
+	}
+}
+
+// TestDrainRacesAdmission runs Drain while HTTP and binary requests
+// keep arriving, at a different moment each round. Every request must
+// be served or refused (429 / overloaded, 503 / draining), and one
+// that starts after Drain returned must see the drain. Under -race it
+// also proves admission's wg.Add never races Drain's wg.Wait: a small
+// in-flight budget keeps the wait group's counter dropping to zero
+// while requests are still arriving.
+func TestDrainRacesAdmission(t *testing.T) {
+	for round := 0; round < 8; round++ {
+		s := New(twoIslands(), Config{MaxInFlight: 2})
+		var drained atomic.Bool
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for i := 0; i < 2; i++ {
+			c := pipeClient(t, s)
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				<-start
+				for {
+					after := drained.Load()
+					switch rec := doReq(t, s, "GET", "/quote?src=0&dst=2", ""); rec.Code {
+					case http.StatusOK, http.StatusTooManyRequests:
+						if after {
+							t.Errorf("round %d: http request started after Drain got status %d", round, rec.Code)
+							return
+						}
+					case http.StatusServiceUnavailable:
+						return
+					default:
+						t.Errorf("round %d: http status %d: %s", round, rec.Code, rec.Body.String())
+						return
+					}
+				}
+			}()
+			go func() {
+				defer wg.Done()
+				<-start
+				for {
+					after := drained.Load()
+					res, err := c.Quote(&BinaryRequest{Src: 0, Dst: 2})
+					switch {
+					case err != nil:
+						t.Errorf("round %d: binary quote: %v", round, err)
+						return
+					case res.Kind == KindQuoteResp, res.Kind == KindError && res.Err.Code == ErrCodeOverloaded:
+						if after {
+							t.Errorf("round %d: binary request started after Drain got kind %#02x", round, res.Kind)
+							return
+						}
+					case res.Kind == KindError && res.Err.Code == ErrCodeDraining:
+						return
+					default:
+						t.Errorf("round %d: binary response %+v", round, res)
+						return
+					}
+				}
+			}()
+		}
+		close(start)
+		time.Sleep(time.Duration(round) * 200 * time.Microsecond)
+		s.Drain()
+		drained.Store(true)
+		wg.Wait()
 	}
 }

@@ -72,7 +72,11 @@ type Server struct {
 	local   []int32 // global node id -> local id within its shard
 	shards  []*shard
 
-	inflight  chan struct{} // admission semaphore
+	inflight chan struct{} // admission semaphore
+	// draining flips once, under the write side of drainMu; admission
+	// reads it and counts itself in wg under the read side, so no
+	// wg.Add can run concurrently with Drain's wg.Wait.
+	drainMu   sync.RWMutex
 	draining  atomic.Bool
 	wg        sync.WaitGroup // admitted requests in flight
 	drainOnce sync.Once
@@ -170,7 +174,9 @@ func (s *Server) Costs() []float64 {
 // drain completes.
 func (s *Server) Drain() {
 	s.drainOnce.Do(func() {
+		s.drainMu.Lock()
 		s.draining.Store(true)
+		s.drainMu.Unlock()
 		s.wg.Wait()
 		for _, sh := range s.shards {
 			sh.stop()
@@ -193,30 +199,68 @@ func (s *Server) Drain() {
 	})
 }
 
-// admit wraps a handler with the admission gate: a full in-flight
-// budget refuses immediately with 429 (the load generator observes
-// these as backpressure, not latency), and a draining server refuses
-// with 503. The wg.Add-then-recheck order makes Drain's wait sound:
-// a request that passed the recheck is counted before Drain returns
-// from Wait, so writers only stop after it finished.
+// admission is the outcome of enter.
+type admission int
+
+const (
+	admitted        admission = iota
+	refusedBusy               // the in-flight budget is full
+	refusedDraining           // Drain has begun
+)
+
+// enter is the admission gate both transports share. A draining
+// server refuses first, so a request that arrives after Drain returned
+// always learns why; a full in-flight budget refuses immediately
+// (backpressure, not latency); otherwise the request takes a slot and
+// counts itself in wg. The final draining check and wg.Add happen
+// together under drainMu's read lock, and Drain sets draining under
+// the write lock before it waits, so every Add either precedes the
+// flag (and Drain's Wait counts it) or sees the flag and backs out —
+// Add never races Wait. An admitted caller must call exit when done.
+func (s *Server) enter() admission {
+	if s.draining.Load() {
+		return refusedDraining
+	}
+	select {
+	case s.inflight <- struct{}{}:
+	default:
+		obsRejected.Inc()
+		return refusedBusy
+	}
+	obsInflightPeak.SetMax(int64(len(s.inflight)))
+	s.drainMu.RLock()
+	if s.draining.Load() {
+		s.drainMu.RUnlock()
+		<-s.inflight
+		return refusedDraining
+	}
+	s.wg.Add(1)
+	s.drainMu.RUnlock()
+	return admitted
+}
+
+// exit releases an admitted request's wg count and in-flight slot.
+func (s *Server) exit() {
+	s.wg.Done()
+	<-s.inflight
+}
+
+// admit wraps an HTTP handler with the admission gate: a full
+// in-flight budget refuses with 429 and a Retry-After hint (the load
+// generator observes these as backpressure), a draining server with
+// 503.
 func (s *Server) admit(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case s.inflight <- struct{}{}:
-		default:
-			obsRejected.Inc()
+		switch s.enter() {
+		case refusedBusy:
 			w.Header().Set("Retry-After", "1")
 			writeError(w, http.StatusTooManyRequests, "overloaded: in-flight request limit reached")
 			return
-		}
-		obsInflightPeak.SetMax(int64(len(s.inflight)))
-		defer func() { <-s.inflight }()
-		s.wg.Add(1)
-		defer s.wg.Done()
-		if s.draining.Load() {
+		case refusedDraining:
 			writeError(w, http.StatusServiceUnavailable, "draining")
 			return
 		}
+		defer s.exit()
 		h(w, r)
 	}
 }

@@ -155,19 +155,27 @@ func TestQuickNodeDijkstraMatchesBellmanFord(t *testing.T) {
 	}
 }
 
+// TestQuickHeapChoiceIsObservationallyEqual: on quarter-unit costs
+// (ties everywhere) the bucket frontier that FrontierAuto engages and
+// the forced binary heap produce the same tree, entry for entry, over
+// random graph sizes and densities.
 func TestQuickHeapChoiceIsObservationallyEqual(t *testing.T) {
-	defer func() { NewQueue = func(c int) pq.Queue { return pq.NewBinary(c) } }()
 	f := func(seed uint64) bool {
 		rng := rand.New(rand.NewPCG(seed, 3))
 		n := 3 + rng.IntN(30)
 		g := graph.RandomBiconnected(n, 0.2, rng)
-		g.RandomizeCosts(0, 9, rng)
-		NewQueue = func(c int) pq.Queue { return pq.NewBinary(c) }
-		a := NodeDijkstra(g, 0, nil)
-		NewQueue = func(c int) pq.Queue { return pq.NewPairing(c) }
-		b := NodeDijkstra(g, 0, nil)
 		for v := 0; v < n; v++ {
-			if a.Dist[v] != b.Dist[v] {
+			g.SetCost(v, float64(rng.IntN(12))/4)
+		}
+		auto, bin := NewWorkspace(n), NewWorkspace(n)
+		bin.SetFrontier(FrontierBinary)
+		if _, ok := auto.frontierFor(g).(*pq.Bucket); !ok {
+			return false // the comparison would be binary against itself
+		}
+		a := auto.NodeDijkstra(g, 0, nil)
+		b := bin.NodeDijkstra(g, 0, nil)
+		for v := 0; v < n; v++ {
+			if a.Dist[v] != b.Dist[v] || a.Parent[v] != b.Parent[v] {
 				return false
 			}
 		}
